@@ -17,7 +17,11 @@ Measures the server-side decode building blocks the kernel engine
 * the planned peak intermediate bytes of one support-count invocation at
   the acceptance shape, next to the bytes the legacy
   materialize-compare-sum loop would have touched (int64 matrix + bool
-  mask = 9 bytes/hash).
+  mask = 9 bytes/hash);
+* the kernel's tile bound (``TILE_BYTES``), the bytes per hash its
+  standard walk holds (uint32 tile + uint32 scratch + bool mask), and the
+  default plan for a stream-shaped flush (31,350 reports x 256
+  candidates, d'=35) — CI asserts that plan stays within the tile.
 
 The acceptance shape is fixed (it is part of the PR's contract), so this
 bench ignores ``REPRO_BENCH_SCALE``.  Standalone:
@@ -37,7 +41,11 @@ from repro.hashing import (
     plan_support_counts,
     support_counts_kernel,
 )
-from repro.hashing.kernels import DEFAULT_CHUNK_BYTES
+from repro.hashing.kernels import (
+    _STANDARD_BYTES_PER_HASH,
+    DEFAULT_CHUNK_BYTES,
+    TILE_BYTES,
+)
 from repro.hashing.xxhash32 import xxhash32_int
 
 from bench_common import BenchResult, bench_seed, emit, run_once, standalone_main
@@ -46,6 +54,10 @@ from bench_common import BenchResult, bench_seed, emit, run_once, standalone_mai
 N_SEEDS = 10_000
 N_VALUES = 128
 D_OUT = 16
+
+#: one flush of the perfbench ``stream`` workload (SOLH, d=256, d'=35;
+#: 20,000 genuine reports plus fake ones)
+STREAM_SHAPE = (31_350, 256, 35)
 
 #: sampled grid for the scalar-vs-vectorized identity assert
 IDENTITY_SAMPLES = 256
@@ -117,11 +129,22 @@ def _experiment() -> BenchResult:
         f"{'family':<16}  {'hashes/sec':>14}  {'peak kernel bytes':>18}  "
         f"{'legacy bytes':>13}",
     ]
+    stream_plan = plan_support_counts(*STREAM_SHAPE)
     extra = {
         "n_seeds": N_SEEDS,
         "n_values": N_VALUES,
         "d_out": D_OUT,
         "families": {},
+        "tile_bytes": TILE_BYTES,
+        "standard_bytes_per_hash": _STANDARD_BYTES_PER_HASH,
+        "stream_plan": {
+            "n_reports": STREAM_SHAPE[0],
+            "n_candidates": STREAM_SHAPE[1],
+            "d_out": STREAM_SHAPE[2],
+            "orientation": stream_plan.orientation,
+            "chunk": stream_plan.chunk,
+            "peak_intermediate_bytes": stream_plan.peak_intermediate_bytes,
+        },
     }
     for family in FAMILIES:
         seeds = family.sample_seeds(N_SEEDS, rng)
@@ -163,6 +186,12 @@ def _experiment() -> BenchResult:
 
     lines += [
         "",
+        f"kernel tile bound        : {TILE_BYTES:,} bytes "
+        f"({_STANDARD_BYTES_PER_HASH} bytes/hash: uint32 tile + scratch, "
+        f"bool mask)",
+        f"stream-shaped plan       : {stream_plan.orientation}-major, "
+        f"{stream_plan.chunk} rows x {STREAM_SHAPE[1]} candidates, "
+        f"{stream_plan.peak_intermediate_bytes:,} bytes",
         f"scalar xxhash32 baseline : {total / scalar_s:>14,.0f} hashes/sec "
         f"({scalar_s:.2f}s)",
         f"vectorized xxhash32      : "

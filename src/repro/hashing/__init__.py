@@ -22,6 +22,7 @@ from .families import (
     splitmix64,
 )
 from .kernels import (
+    TILE_BYTES,
     KernelPlan,
     SeedRowCache,
     active_chunk_bytes,
@@ -39,6 +40,7 @@ __all__ = [
     "KernelPlan",
     "MultiplyShiftHashFamily",
     "SeedRowCache",
+    "TILE_BYTES",
     "XXHash32Family",
     "active_chunk_bytes",
     "calibrate_kernel",

@@ -9,6 +9,12 @@ workload shaped like the streaming hot path, pick the fastest, and
 install it process-wide via
 :func:`repro.hashing.kernels.set_active_chunk_bytes`.
 
+The standard walk now caps its stripe at the kernel's L2-resident tile
+(:data:`repro.hashing.kernels.TILE_BYTES`, 1 MiB), so a budget at or
+above the tile no longer changes that walk's stripe; it still decides
+the walk's orientation and whether the unique-seed path's multiplicity
+table fits.
+
 Calibration is an *execution* choice, never an estimator one — every
 budget computes bit-identical counts (``tests/hashing/test_calibrate.py``
 pins this), so a stale or wrong calibration can cost time but never
@@ -53,7 +59,9 @@ __all__ = [
 CALIBRATION_TUNING_KEY = "kernel_calibration"
 
 #: chunk-budget ladder the timed probe walks: 1 MiB (well inside L2 on
-#: anything current) up to the historical 64 MiB static default
+#: anything current) up to the historical 64 MiB static default.  Every
+#: rung is at or above ``TILE_BYTES``, so on the probe workload every rung
+#: plans the same tile-sized stripe.
 _LADDER: Tuple[int, ...] = tuple(1 << p for p in range(20, 27))
 
 #: synthetic probe workload — sized so one full ladder probe stays well

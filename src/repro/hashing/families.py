@@ -79,15 +79,43 @@ def _mod_mersenne31(values: np.ndarray) -> np.ndarray:
     return np.where(values >= prime, values - prime, values)
 
 
-def _mod_d_out_u32(hashes: np.ndarray, d_out: int) -> np.ndarray:
-    """Reduce uint32 hashes into ``[0, d_out)`` without leaving uint32.
+def _mod_d_out(
+    values: np.ndarray,
+    d_out: int,
+    out: Optional[np.ndarray] = None,
+    scratch: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """``values % d_out`` for an unsigned array, as ``x - (x // d)*d``.
 
-    For ``d_out >= 2^32`` the reduction is the identity (hashes are already
-    below ``d_out``), which sidesteps an impossible uint32 modulus.
+    numpy divides an integer array by a scalar through libdivide (a
+    multiply and shift per element) but computes ``%`` with a hardware
+    division per element: on a 2-core Xeon the floor division runs at
+    about 0.4 ns/elem against 2.4 for ``%`` in uint32, 1.9 against 3.9 in
+    uint64.  The result is exact — the same integers ``%`` gives.
+
+    ``out`` may be ``values`` itself (an in-place reduction); ``scratch``
+    holds the quotient.  Missing buffers are allocated.  A ``d_out``
+    beyond the dtype's range leaves the values unchanged (they are
+    already below it), which also sidesteps an unrepresentable divisor.
     """
-    if d_out < (1 << 32):
-        return hashes % np.uint32(d_out)
-    return hashes
+    if out is None:
+        out = np.empty_like(values)
+    if d_out > np.iinfo(values.dtype).max:
+        if out is not values:
+            np.copyto(out, values)
+        return out
+    divisor = values.dtype.type(d_out)
+    quotient = np.floor_divide(values, divisor, out=scratch)
+    np.multiply(quotient, divisor, out=quotient)
+    return np.subtract(values, quotient, out=out)
+
+
+def _deliver(hashes: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
+    """Return ``hashes``, copied into ``out`` when the caller supplied one."""
+    if out is None:
+        return hashes
+    np.copyto(out, hashes, casting="unsafe")
+    return out
 
 
 class HashFamily(ABC):
@@ -132,7 +160,12 @@ class HashFamily(ABC):
         """
 
     def hash_outer_u32(
-        self, seeds: np.ndarray, values: ArrayLike, d_out: int
+        self,
+        seeds: np.ndarray,
+        values: ArrayLike,
+        d_out: int,
+        out: Optional[np.ndarray] = None,
+        scratch: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """:meth:`hash_outer`, delivered as a uint32 matrix.
 
@@ -141,12 +174,19 @@ class HashFamily(ABC):
         with ``d_out`` far below ``2^32`` in every paper workload, so uint32
         storage halves the hot path's peak intermediate bytes relative to
         int64.  Only valid for ``d_out <= 2^32`` (the kernel checks and
-        falls back to :meth:`hash_outer` otherwise).  The default converts
-        the int64 matrix; the built-in families override with native uint32
-        pipelines that never materialize an int64 intermediate of matrix
-        shape.
+        falls back to :meth:`hash_outer` otherwise).
+
+        ``out`` is an optional uint32 ``(len(seeds), len(values))`` buffer
+        to fill and return, and ``scratch`` one of the same shape a family
+        may clobber as work space — the kernel passes one tile and one
+        scratch buffer for every stripe it hashes.  This default converts
+        the int64 matrix and copies it into ``out``, ignoring ``scratch``,
+        so any family works with the kernel; the built-in families
+        override it with native pipelines, and :class:`XXHash32Family`
+        computes entirely inside ``out`` and ``scratch``.
         """
-        return self.hash_outer(seeds, values, d_out).astype(np.uint32)
+        hashes = self.hash_outer(seeds, values, d_out).astype(np.uint32)
+        return _deliver(hashes, out)
 
     def hash_pairwise(
         self, seeds: np.ndarray, values: ArrayLike, d_out: int
@@ -220,7 +260,7 @@ class CarterWegmanHashFamily(HashFamily):
         values = self._check_domain(values)
         with np.errstate(over="ignore"):
             mixed = values * np.uint64(a) + np.uint64(b)
-        return (_mod_mersenne31(mixed) % np.uint64(d_out)).astype(np.int64)
+        return _mod_d_out(_mod_mersenne31(mixed), d_out).astype(np.int64)
 
     def hash_outer(
         self, seeds: np.ndarray, values: ArrayLike, d_out: int
@@ -228,15 +268,23 @@ class CarterWegmanHashFamily(HashFamily):
         return self.hash_outer_u32(seeds, values, d_out).astype(np.int64)
 
     def hash_outer_u32(
-        self, seeds: np.ndarray, values: ArrayLike, d_out: int
+        self,
+        seeds: np.ndarray,
+        values: ArrayLike,
+        d_out: int,
+        out: Optional[np.ndarray] = None,
+        scratch: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         a, b = self._params_np(seeds)
         values = self._check_domain(values)
         with np.errstate(over="ignore"):
             mixed = a[:, None] * values[None, :] + b[:, None]
-        # Outputs are below p < 2^31, so the uint32 narrowing is lossless
-        # regardless of d_out.
-        return (_mod_mersenne31(mixed) % np.uint64(d_out)).astype(np.uint32)
+        # Residues mod p are below 2^31, so narrowing to uint32 before the
+        # ``d_out`` reduction is lossless and keeps the division 32-bit.
+        residues = _mod_mersenne31(mixed).astype(np.uint32)
+        if out is None:
+            out = residues
+        return _mod_d_out(residues, d_out, out=out, scratch=scratch)
 
     def hash_pairwise(
         self, seeds: np.ndarray, values: ArrayLike, d_out: int
@@ -245,7 +293,7 @@ class CarterWegmanHashFamily(HashFamily):
         values = self._check_domain(values)
         with np.errstate(over="ignore"):
             mixed = a * values + b
-        return (_mod_mersenne31(mixed) % np.uint64(d_out)).astype(np.int64)
+        return _mod_d_out(_mod_mersenne31(mixed), d_out).astype(np.int64)
 
 
 class MultiplyShiftHashFamily(HashFamily):
@@ -267,7 +315,7 @@ class MultiplyShiftHashFamily(HashFamily):
         values = np.asarray(values, dtype=np.uint64)
         with np.errstate(over="ignore"):
             mixed = _splitmix64_np(values * np.uint64(self._C) ^ np.uint64(seed))
-        return (mixed % np.uint64(d_out)).astype(np.int64)
+        return _mod_d_out(mixed, d_out, out=mixed).astype(np.int64)
 
     def _mixed_outer(self, seeds: np.ndarray, values: ArrayLike) -> np.ndarray:
         """The outer mixing matrix — the single copy of the mixer math."""
@@ -278,19 +326,28 @@ class MultiplyShiftHashFamily(HashFamily):
                 values[None, :] * np.uint64(self._C) ^ seeds[:, None]
             )
 
+    def _reduced_outer(self, seeds: np.ndarray, values: ArrayLike, d_out: int):
+        """The outer mixing matrix reduced into ``[0, d_out)`` in place."""
+        mixed = self._mixed_outer(seeds, values)
+        return _mod_d_out(mixed, d_out, out=mixed)
+
     def hash_outer(
         self, seeds: np.ndarray, values: ArrayLike, d_out: int
     ) -> np.ndarray:
-        return (self._mixed_outer(seeds, values) % np.uint64(d_out)).astype(
-            np.int64
-        )
+        return self._reduced_outer(seeds, values, d_out).astype(np.int64)
 
     def hash_outer_u32(
-        self, seeds: np.ndarray, values: ArrayLike, d_out: int
+        self,
+        seeds: np.ndarray,
+        values: ArrayLike,
+        d_out: int,
+        out: Optional[np.ndarray] = None,
+        scratch: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        return (self._mixed_outer(seeds, values) % np.uint64(d_out)).astype(
-            np.uint32
-        )
+        reduced = self._reduced_outer(seeds, values, d_out)
+        if out is None:
+            return reduced.astype(np.uint32)
+        return _deliver(reduced, out)
 
     def hash_pairwise(
         self, seeds: np.ndarray, values: ArrayLike, d_out: int
@@ -299,7 +356,7 @@ class MultiplyShiftHashFamily(HashFamily):
         values = np.asarray(values, dtype=np.uint64)
         with np.errstate(over="ignore"):
             mixed = _splitmix64_np(values * np.uint64(self._C) ^ seeds)
-        return (mixed % np.uint64(d_out)).astype(np.int64)
+        return _mod_d_out(mixed, d_out, out=mixed).astype(np.int64)
 
 
 class XXHash32Family(HashFamily):
@@ -323,7 +380,7 @@ class XXHash32Family(HashFamily):
 
     def hash_values(self, seed: int, values: ArrayLike, d_out: int) -> np.ndarray:
         hashes = xxhash32_int_array(np.asarray(values), np.uint64(seed & _MASK64))
-        return _mod_d_out_u32(hashes, d_out).astype(np.int64)
+        return _mod_d_out(hashes, d_out, out=hashes).astype(np.int64)
 
     def hash_outer(
         self, seeds: np.ndarray, values: ArrayLike, d_out: int
@@ -331,19 +388,28 @@ class XXHash32Family(HashFamily):
         return self.hash_outer_u32(seeds, values, d_out).astype(np.int64)
 
     def hash_outer_u32(
-        self, seeds: np.ndarray, values: ArrayLike, d_out: int
+        self,
+        seeds: np.ndarray,
+        values: ArrayLike,
+        d_out: int,
+        out: Optional[np.ndarray] = None,
+        scratch: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         seeds = np.asarray(seeds, dtype=np.uint64)
         values = np.asarray(values)
-        hashes = xxhash32_int_array(values[None, :], seeds[:, None])
-        return _mod_d_out_u32(hashes, d_out)
+        if scratch is None:
+            scratch = np.empty((len(seeds), len(values)), dtype=np.uint32)
+        hashes = xxhash32_int_array(
+            values[None, :], seeds[:, None], out=out, scratch=scratch
+        )
+        return _mod_d_out(hashes, d_out, out=hashes, scratch=scratch)
 
     def hash_pairwise(
         self, seeds: np.ndarray, values: ArrayLike, d_out: int
     ) -> np.ndarray:
         seeds = np.asarray(seeds, dtype=np.uint64)
         hashes = xxhash32_int_array(np.asarray(values), seeds)
-        return _mod_d_out_u32(hashes, d_out).astype(np.int64)
+        return _mod_d_out(hashes, d_out, out=hashes).astype(np.int64)
 
 
 _DEFAULT_FAMILY: Optional[CarterWegmanHashFamily] = None

@@ -10,16 +10,20 @@ the incremental aggregator's materialized fold path, the sharded
 pipeline's process folds, and through them the sweep engine and the PEOS
 protocol decode) routes through, built around three ideas:
 
+* **one cache-resident tile.**  The standard walk allocates a uint32 hash
+  tile, one uint32 scratch buffer and one boolean match mask once per
+  call — together at most :data:`TILE_BYTES`, a quarter of a 4 MiB L2 —
+  and reuses them for every stripe.  The hash family fills the tile in
+  place (:meth:`~repro.hashing.families.HashFamily.hash_outer_u32` with
+  ``out=``/``scratch=``), so the ~20 element-wise passes of the xxHash32
+  lane arithmetic, the ``d'`` reduction and the match all run out of L2
+  instead of streaming a many-megabyte matrix through memory on each
+  pass.
 * **uint32 intermediates.**  Hashed values live in ``[0, d')`` with ``d'``
-  far below ``2^32``, so chunks are produced in uint32 via
-  :meth:`~repro.hashing.families.HashFamily.hash_outer_u32` and compared
-  by an in-place XOR against the reported values — no int64 matrix, no
-  second matrix-shaped allocation for the comparison.
-* **bincount accumulation.**  Matches are expected to be sparse (one per
-  ``d'`` hashes), so the kernel gathers the match positions with
-  ``flatnonzero`` and folds them into the counts with ``np.bincount``
-  instead of reducing a ``(chunk, d)`` boolean matrix along axis 0.
-* **chunk orientation.**  The chunk walks whichever axis keeps a full
+  far below ``2^32``, so tiles are uint32 and the match is one
+  ``np.equal(tile, reported[:, None], out=mask)`` — no int64 matrix, no
+  allocation of matrix shape inside the walk.
+* **chunk orientation.**  The walk strides whichever axis keeps a full
   stripe of the other within ``chunk_bytes``: report-major when a full
   candidate row fits (the common case), candidate-major when the candidate
   axis is so wide that even one report row would blow the budget.
@@ -54,6 +58,7 @@ from .families import HashFamily
 __all__ = [
     "KernelPlan",
     "SeedRowCache",
+    "TILE_BYTES",
     "active_chunk_bytes",
     "chunk_spans",
     "plan_support_counts",
@@ -93,9 +98,17 @@ def active_chunk_bytes() -> int:
         else _ACTIVE_CHUNK_BYTES
     )
 
-#: bytes of matrix-shaped intermediates per hash on the standard path:
-#: the uint32 chunk (4) plus the match mask ``flatnonzero`` scans (1)
-_STANDARD_BYTES_PER_HASH = 5
+#: bytes per hash the standard walk holds: the uint32 hash tile (4), the
+#: uint32 scratch buffer the lane arithmetic and the ``d'`` reduction work
+#: in (4), and the boolean match mask (1)
+_STANDARD_BYTES_PER_HASH = 9
+
+#: the standard walk's working set (tile + scratch + mask) in bytes.  At
+#: 1 MiB it holds 455 rows at d=256 and sits in a 4 MiB L2 with room for
+#: the stripe's seeds and reports; whole-flush chunks (32 MB at the stream
+#: workload's 31,350 x 256) ran the same passes 3-4x slower from memory.
+#: An explicit or calibrated ``chunk_bytes`` below it shrinks the tile.
+TILE_BYTES = 1 << 20
 
 #: bytes per hash on the unique-seed path: the uint32 chunk (4, reused
 #: directly as gather indices) and the int64 multiplicity gather result (8)
@@ -144,9 +157,12 @@ class KernelPlan:
     rows), ``"candidates"`` (chunk the candidate axis, full report
     columns), or ``"unique"`` (the unique-seed fast path, chunking distinct
     seeds).  ``chunk`` is the number of rows (or columns) per step and
-    ``peak_intermediate_bytes`` the worst-case matrix-shaped allocation the
-    walk materializes at once — the number the throughput benchmark
-    records.
+    ``peak_intermediate_bytes`` the matrix-shaped bytes the walk holds at
+    once — on the standard walks the tile, scratch and mask buffers
+    (:data:`_STANDARD_BYTES_PER_HASH` per hash, at most
+    :data:`TILE_BYTES` unless one stripe alone is larger), on the unique
+    path the hash chunk, its gather and the multiplicity table.  The
+    throughput benchmark records it.
     """
 
     orientation: str
@@ -187,6 +203,10 @@ def plan_support_counts(
     seeds, because the rows it hashes this flush are the hits of the
     next.  The returned plan is purely an execution choice — every plan
     computes identical counts.
+
+    ``chunk_bytes`` decides the orientation and the unique path's
+    engagement; the standard walks' stripe is further capped at
+    :data:`TILE_BYTES` so their buffers stay cache-resident.
     """
     if chunk_bytes is None:
         chunk_bytes = active_chunk_bytes()
@@ -209,9 +229,10 @@ def plan_support_counts(
                 + n_unique * max(1, d_out) * 8
             ),
         )
+    tile_bytes = min(chunk_bytes, TILE_BYTES)
     row_bytes = _STANDARD_BYTES_PER_HASH * max(1, n_candidates)
     if row_bytes <= chunk_bytes or n_reports <= 1:
-        chunk = max(1, min(chunk_bytes // row_bytes, max(1, n_reports)))
+        chunk = max(1, min(tile_bytes // row_bytes, max(1, n_reports)))
         return KernelPlan(
             orientation="reports",
             chunk=chunk,
@@ -225,7 +246,7 @@ def plan_support_counts(
     # The candidate axis is so wide even one report row busts the budget:
     # walk candidate stripes against the full report column instead.
     col_bytes = _STANDARD_BYTES_PER_HASH * max(1, n_reports)
-    chunk = max(1, min(chunk_bytes // col_bytes, max(1, n_candidates)))
+    chunk = max(1, min(tile_bytes // col_bytes, max(1, n_candidates)))
     return KernelPlan(
         orientation="candidates",
         chunk=chunk,
@@ -258,8 +279,9 @@ class SeedRowCache:
       *values* are fixed given the identity (the oracles pass the cache
       only for the default full-domain ``arange(d)`` candidates).
     * **Read-only rows.**  Cached rows feed the unique path's gather,
-      which never mutates its hash chunk — the standard path's in-place
-      XOR (:func:`_match_columns`) must not and does not see them.
+      which never mutates its hash chunk — the standard walk, which
+      hashes into a reused tile in place, must not and does not see
+      them.
 
     Rows are stored as owned copies and served as fresh matrices, so the
     cache is bit-transparent: hashing is deterministic, hence a hit is
@@ -408,19 +430,69 @@ def _chunk_hashes(
     return family.hash_outer(seeds, candidates, d_out)
 
 
-def _match_columns(hashes: np.ndarray, reported: np.ndarray) -> np.ndarray:
-    """Column indices of every ``hashes[i, j] == reported[i]`` match.
+def _standard_walk(
+    family: HashFamily,
+    seeds: np.ndarray,
+    reported: np.ndarray,
+    candidates: np.ndarray,
+    d_out: int,
+    plan: KernelPlan,
+    counts: np.ndarray,
+) -> np.ndarray:
+    """The report- or candidate-major walk over one reused tile.
 
-    XORs the reported values into the chunk **in place** (the chunk is
-    owned by the caller and never reused), then reads off the zero
-    positions: one 1-byte mask and one sparse index array instead of a
-    full-matrix reduction.
+    A ``"unique"`` plan that reaches here (forced without seed grouping)
+    walks report-major, as its ``chunk`` counts rows.
+
+    Allocates the tile, scratch and mask once, sized for the plan's
+    stripe, and views a contiguous prefix of each for every stripe (the
+    last one may be short).  The family hashes into the tile in place;
+    the match writes into the mask; each stripe's column sums of the mask
+    (a uint8 view, summed in int32) are its per-candidate counts.
+    Domains wider than ``2^32`` compare in int64 through
+    :meth:`HashFamily.hash_outer` instead, with only the mask reused.
     """
-    hashes ^= reported[:, None]
-    matches = np.flatnonzero(hashes.ravel() == 0)
-    if matches.size:
-        matches %= hashes.shape[1]
-    return matches
+    by_reports = plan.orientation != "candidates"
+    total = len(seeds) if by_reports else len(candidates)
+    across = len(candidates) if by_reports else len(seeds)
+    cells = min(plan.chunk, total) * across
+    narrow = d_out <= _UNIQUE_SEED_SPACE
+    if narrow:
+        tile = np.empty(cells, dtype=np.uint32)
+        scratch = np.empty(cells, dtype=np.uint32)
+    mask = np.empty(cells, dtype=bool)
+    # Column sums of a stripe never exceed its row count; an int32
+    # accumulator reduces the mask about twice as fast as int64.
+    stripe_rows = min(plan.chunk, total) if by_reports else len(seeds)
+    count_dtype = np.int32 if stripe_rows < (1 << 31) else np.int64
+    for start, stop in chunk_spans(total, plan.chunk):
+        if by_reports:
+            rows, cols = seeds[start:stop], candidates
+            expected = reported[start:stop]
+        else:
+            rows, cols = seeds, candidates[start:stop]
+            expected = reported
+        shape = (len(rows), len(cols))
+        size = shape[0] * shape[1]
+        if narrow:
+            hashes = family.hash_outer_u32(
+                rows, cols, d_out,
+                out=tile[:size].reshape(shape),
+                scratch=scratch[:size].reshape(shape),
+            )
+        else:
+            hashes = family.hash_outer(rows, cols, d_out)
+        match = np.equal(
+            hashes, expected[:, None], out=mask[:size].reshape(shape)
+        )
+        matched = np.add.reduce(
+            match.view(np.uint8), axis=0, dtype=count_dtype
+        )
+        if by_reports:
+            counts += matched
+        else:
+            counts[start:stop] += matched
+    return counts
 
 
 def support_counts_kernel(
@@ -509,15 +581,6 @@ def support_counts_kernel(
             ).sum(axis=0)
         return counts
 
-    if plan.orientation == "candidates":
-        for start, stop in chunk_spans(n_candidates, plan.chunk):
-            hashes = _chunk_hashes(family, seeds, candidates[start:stop], d_out)
-            matches = _match_columns(hashes, reported_cmp)
-            counts[start:stop] += np.bincount(matches, minlength=stop - start)
-        return counts
-
-    for start, stop in chunk_spans(n, plan.chunk):
-        hashes = _chunk_hashes(family, seeds[start:stop], candidates, d_out)
-        matches = _match_columns(hashes, reported_cmp[start:stop])
-        counts += np.bincount(matches, minlength=n_candidates)
-    return counts
+    return _standard_walk(
+        family, seeds, reported_cmp, candidates, d_out, plan, counts
+    )

@@ -18,10 +18,15 @@ Two implementations are provided:
   inputs take exactly one path through the spec (the short-input branch:
   ``acc = seed + PRIME5 + 8`` followed by two 4-byte-lane rounds and the
   avalanche), so the whole algorithm collapses to a handful of wrapping
-  uint32 array operations that broadcast over ``seeds x values``.
+  uint32 array operations that broadcast over ``seeds x values``.  They
+  run in place in an ``out`` buffer with one ``scratch`` buffer, which
+  lets the support-count kernel hash straight into its cache-resident
+  tile.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 import numpy as np
 
@@ -119,22 +124,36 @@ def xxhash32_int(value: int, seed: int = 0) -> int:
     return xxhash32(int(value).to_bytes(8, "little"), seed)
 
 
-def _rotl32_np(values: np.ndarray, count: int) -> np.ndarray:
-    """Rotate a uint32 array left by ``count`` bits (in place when possible)."""
-    return (values << np.uint32(count)) | (values >> np.uint32(32 - count))
+def _rotl32_np(values: np.ndarray, count: int, scratch: np.ndarray) -> np.ndarray:
+    """Rotate a uint32 array left by ``count`` bits, in place.
+
+    ``scratch`` (same shape, clobbered) holds the right-shifted half, so
+    the rotation writes only into buffers the caller already owns.
+    """
+    np.right_shift(values, np.uint32(32 - count), out=scratch)
+    np.left_shift(values, np.uint32(count), out=values)
+    np.bitwise_or(values, scratch, out=values)
+    return values
 
 
-def _avalanche_np(acc: np.ndarray) -> np.ndarray:
-    """Vectorized final mixing stage, operating on ``acc`` in place."""
-    acc ^= acc >> np.uint32(15)
-    acc *= np.uint32(_PRIME2)
-    acc ^= acc >> np.uint32(13)
-    acc *= np.uint32(_PRIME3)
-    acc ^= acc >> np.uint32(16)
+def _avalanche_np(acc: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Vectorized final mixing stage, in place on ``acc`` (``scratch`` is
+    clobbered)."""
+    for shift, prime in ((15, _PRIME2), (13, _PRIME3)):
+        np.right_shift(acc, np.uint32(shift), out=scratch)
+        np.bitwise_xor(acc, scratch, out=acc)
+        np.multiply(acc, np.uint32(prime), out=acc)
+    np.right_shift(acc, np.uint32(16), out=scratch)
+    np.bitwise_xor(acc, scratch, out=acc)
     return acc
 
 
-def xxhash32_int_array(values: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+def xxhash32_int_array(
+    values: np.ndarray,
+    seeds: np.ndarray,
+    out: Optional[np.ndarray] = None,
+    scratch: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """Vectorized :func:`xxhash32_int`: hash 8-byte encodings of ``values``.
 
     ``values`` and ``seeds`` are integer arrays (or scalars) that broadcast
@@ -144,8 +163,12 @@ def xxhash32_int_array(values: np.ndarray, seeds: np.ndarray) -> np.ndarray:
     the scalar path.  Returns the uint32 hashes with the broadcast shape,
     bit-for-bit identical to the scalar reference.
 
-    Every intermediate is uint32 (wrapping lane arithmetic), so the peak
-    footprint is a small constant number of 4-byte-per-element temporaries.
+    ``out`` and ``scratch`` are optional uint32 buffers of the broadcast
+    shape; missing ones are allocated.  The lane arithmetic runs in place
+    in ``out`` and uses ``scratch`` as its only work buffer, so the
+    matrix-shaped footprint is exactly those two arrays (8 bytes per
+    hash); every other temporary has the shape of ``seeds`` or ``values``
+    alone.  The support-count kernel passes its cache-resident tile here.
     """
     values = np.asarray(values)
     if values.size and values.dtype != np.uint64 and int(values.min()) < 0:
@@ -155,22 +178,29 @@ def xxhash32_int_array(values: np.ndarray, seeds: np.ndarray) -> np.ndarray:
         )
     values = values.astype(np.uint64, copy=False)
     seeds = np.asarray(seeds)
+    shape = np.broadcast_shapes(seeds.shape, values.shape)
+    if out is None:
+        out = np.empty(shape, dtype=np.uint32)
+    if scratch is None:
+        scratch = np.empty(shape, dtype=np.uint32)
     with np.errstate(over="ignore"):
-        seeds32 = (seeds.astype(np.uint64, copy=False) & np.uint64(_MASK32)).astype(
-            np.uint32
-        )
+        # Short-input branch for length 8: acc = seed + PRIME5 + len.
+        acc0 = (
+            seeds.astype(np.uint64, copy=False) & np.uint64(_MASK32)
+        ).astype(np.uint32) + np.uint32((_PRIME5 + 8) & _MASK32)
         # 8-byte little-endian encoding = two 4-byte lanes; premultiply by
-        # the lane prime so the loop body is pure add/rotate/multiply.
-        lane_lo = (values & np.uint64(_MASK32)).astype(np.uint32) * np.uint32(_PRIME3)
-        lane_hi = (values >> np.uint64(32)).astype(np.uint32) * np.uint32(_PRIME3)
-        # Short-input branch for length 8: acc = seed + PRIME5, then += len.
-        acc = seeds32 + np.uint32((_PRIME5 + 8) & _MASK32)
-        shape = np.broadcast_shapes(np.shape(acc), lane_lo.shape)
-        acc = np.broadcast_to(acc, shape).copy()
-        acc += lane_lo
-        acc = _rotl32_np(acc, 17)
-        acc *= np.uint32(_PRIME4)
-        acc += lane_hi
-        acc = _rotl32_np(acc, 17)
-        acc *= np.uint32(_PRIME4)
-        return _avalanche_np(acc)
+        # the lane prime so the matrix-shaped work is add/rotate/multiply.
+        lane_lo = (values & np.uint64(_MASK32)).astype(np.uint32)
+        lane_lo *= np.uint32(_PRIME3)
+        lane_hi = (values >> np.uint64(32)).astype(np.uint32)
+        np.add(acc0, lane_lo, out=out)
+        _rotl32_np(out, 17, scratch)
+        np.multiply(out, np.uint32(_PRIME4), out=out)
+        # Values below 2^32 have an all-zero high lane: adding it would be
+        # a full matrix pass that changes nothing.
+        if lane_hi.any():
+            lane_hi *= np.uint32(_PRIME3)
+            np.add(out, lane_hi, out=out)
+        _rotl32_np(out, 17, scratch)
+        np.multiply(out, np.uint32(_PRIME4), out=out)
+        return _avalanche_np(out, scratch)

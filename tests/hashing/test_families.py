@@ -106,6 +106,92 @@ class TestCrossPathAgreement:
         )
 
 
+class TestExactReduction:
+    """``x - (x // d)*d`` is ``x % d`` on every unsigned input, any ``d``."""
+
+    @pytest.mark.parametrize(
+        "d_out",
+        [1, 2, 35, (1 << 31) - 1, (1 << 32) - 1, 1 << 32],
+        ids=["1", "2", "35", "2^31-1", "2^32-1", "2^32"],
+    )
+    @pytest.mark.parametrize("dtype", [np.uint32, np.uint64])
+    def test_equals_python_modulo(self, rng, d_out, dtype):
+        from repro.hashing.families import _mod_d_out
+
+        top = int(np.iinfo(dtype).max)
+        edges = [0, 1, 2, top - 1, top]
+        edges += [
+            v for v in (d_out - 1, d_out, d_out + 1, 2 * d_out - 1, 2 * d_out)
+            if 0 <= v <= top
+        ]
+        values = np.concatenate(
+            [
+                np.array(edges, dtype=dtype),
+                rng.integers(0, top, 500, dtype=dtype, endpoint=True),
+            ]
+        )
+        expected = [int(v) % d_out for v in values]
+        assert _mod_d_out(values, d_out).tolist() == expected
+        in_place = values.copy()
+        scratch = np.empty_like(values)
+        result = _mod_d_out(in_place, d_out, out=in_place, scratch=scratch)
+        assert result is in_place
+        assert in_place.tolist() == expected
+
+    @given(
+        values=st.lists(
+            st.integers(min_value=0, max_value=(1 << 64) - 1), min_size=1
+        ),
+        d_out=st.integers(min_value=1, max_value=(1 << 64) - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_property_uint64(self, values, d_out):
+        from repro.hashing.families import _mod_d_out
+
+        array = np.array(values, dtype=np.uint64)
+        assert _mod_d_out(array, d_out).tolist() == [v % d_out for v in values]
+
+
+class TestOuterBuffers:
+    """``hash_outer_u32(out=, scratch=)`` fills the caller's buffers."""
+
+    @pytest.mark.parametrize("d_out", [1, 7, 1 << 32])
+    def test_out_filled_and_returned(self, family, rng, d_out):
+        seeds = family.sample_seeds(9, rng)
+        values = np.arange(21)
+        out = np.full((9, 21), 0xFFFFFFFF, dtype=np.uint32)
+        scratch = np.empty((9, 21), dtype=np.uint32)
+        result = family.hash_outer_u32(
+            seeds, values, d_out, out=out, scratch=scratch
+        )
+        assert result is out
+        assert out.tolist() == family.hash_outer(seeds, values, d_out).tolist()
+
+    def test_base_implementation_copies_into_out(self, rng):
+        """A family with only the abstract methods still serves the kernel."""
+        from repro.hashing import HashFamily
+
+        class Plain(HashFamily):
+            name = "plain"
+
+            def hash_value(self, seed, value, d_out):
+                return (seed * 31 + value) % d_out
+
+            def hash_values(self, seed, values, d_out):
+                return (int(seed) * 31 + np.asarray(values)) % d_out
+
+            def hash_outer(self, seeds, values, d_out):
+                seeds = np.asarray(seeds, dtype=np.int64) % 1000
+                return (seeds[:, None] * 31 + np.asarray(values)[None, :]) % d_out
+
+        family = Plain()
+        seeds = np.arange(5, dtype=np.uint64)
+        out = np.zeros((5, 4), dtype=np.uint32)
+        result = family.hash_outer_u32(seeds, np.arange(4), 6, out=out)
+        assert result is out
+        assert out.tolist() == family.hash_outer(seeds, np.arange(4), 6).tolist()
+
+
 class TestRange:
     @pytest.mark.parametrize("d_out", [2, 3, 7, 16, 257])
     def test_output_in_range(self, family, rng, d_out):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.hashing import (
+    TILE_BYTES,
     CarterWegmanHashFamily,
     MultiplyShiftHashFamily,
     XXHash32Family,
@@ -129,6 +130,115 @@ class TestBitIdentity:
         assert counts.shape == (0,)
 
 
+def planted_reports(family, seeds, candidates, d_out, rng):
+    """Reported values of which about half are true hashes of a candidate.
+
+    Uniform reports almost never match when ``d_out`` is large; planting
+    real hashes keeps every count path exercised at any ``d_out``.
+    """
+    picks = rng.integers(0, len(candidates), len(seeds))
+    planted = np.array(
+        [
+            family.hash_value(int(seed), int(candidates[pick]), d_out)
+            for seed, pick in zip(seeds, picks)
+        ],
+        dtype=np.int64,
+    )
+    noise = rng.integers(0, min(d_out, 1 << 62), len(seeds), dtype=np.int64)
+    return np.where(rng.random(len(seeds)) < 0.5, planted, noise)
+
+
+#: the stream workload's flush shape: SOLH with d=256 candidates, d'=35
+TILE_D, TILE_D_OUT = 256, 35
+TILE_ROWS = plan_support_counts(1 << 20, TILE_D, TILE_D_OUT).chunk
+
+
+class TestTileBoundaries:
+    """The reused tile must not leak state across stripes or edges."""
+
+    def test_tile_rows_fill_the_tile_bound(self):
+        assert 256 <= TILE_ROWS <= 512
+        assert 9 * TILE_ROWS * TILE_D <= TILE_BYTES
+
+    @pytest.mark.parametrize(
+        "n",
+        [1, TILE_ROWS - 1, TILE_ROWS, TILE_ROWS + 1, 3 * TILE_ROWS + 7],
+        ids=["1", "T-1", "T", "T+1", "3T+7"],
+    )
+    def test_report_counts_around_tile_rows(self, family, rng, n):
+        seeds = family.sample_seeds(n, rng)
+        candidates = np.arange(TILE_D)
+        reported = planted_reports(family, seeds, candidates, TILE_D_OUT, rng)
+        plan = plan_support_counts(n, TILE_D, TILE_D_OUT)
+        assert plan.orientation == "reports"
+        assert plan.chunk == min(n, TILE_ROWS)
+        counts = support_counts_kernel(
+            family, seeds, reported, candidates, TILE_D_OUT, plan=plan
+        )
+        assert counts.tolist() == naive_counts(
+            family, seeds, reported, candidates, TILE_D_OUT
+        ).tolist()
+        automatic = support_counts_kernel(
+            family, seeds, reported, candidates, TILE_D_OUT
+        )
+        assert automatic.tolist() == counts.tolist()
+
+    def test_wide_domain_walks_candidate_stripes(self, family, rng):
+        """A candidate row wider than the budget flips the walk; the last
+        stripe is a single column."""
+        n, n_candidates, chunk_bytes = 100, 1001, 4096
+        plan = plan_support_counts(n, n_candidates, 8, chunk_bytes=chunk_bytes)
+        assert plan.orientation == "candidates"
+        assert n_candidates % plan.chunk == 1
+        seeds = family.sample_seeds(n, rng)
+        candidates = np.arange(n_candidates)
+        reported = planted_reports(family, seeds, candidates, 8, rng)
+        counts = support_counts_kernel(
+            family, seeds, reported, candidates, 8, chunk_bytes=chunk_bytes
+        )
+        assert counts.tolist() == naive_counts(
+            family, seeds, reported, candidates, 8
+        ).tolist()
+
+    @pytest.mark.parametrize(
+        "family", FAMILIES[1:], ids=lambda f: f.name
+    )  # Carter-Wegman's domain ends below 2^31
+    @pytest.mark.parametrize("chunk_bytes", [None, 4096])
+    def test_candidates_above_2_32(self, family, rng, chunk_bytes):
+        """A non-zero high lane must be hashed, never skipped — also when
+        only some candidate stripes carry one."""
+        candidates = np.concatenate(
+            [
+                np.arange(600, dtype=np.uint64),
+                np.array([1 << 32, (1 << 32) + 5, (1 << 63) + 11,
+                          (1 << 64) - 1], dtype=np.uint64),
+            ]
+        )
+        seeds = family.sample_seeds(80, rng)
+        reported = planted_reports(family, seeds, candidates, 16, rng)
+        counts = support_counts_kernel(
+            family, seeds, reported, candidates, 16, chunk_bytes=chunk_bytes
+        )
+        expected = naive_counts(family, seeds, reported, candidates, 16)
+        assert counts.tolist() == expected.tolist()
+        assert counts[600:].sum() > 0
+
+    @pytest.mark.parametrize(
+        "d_out", [1, 1 << 32, (1 << 32) + 5], ids=["1", "2^32", "2^32+5"]
+    )
+    def test_d_out_extremes(self, family, rng, d_out):
+        n = TILE_ROWS + 3
+        seeds = family.sample_seeds(n, rng)
+        candidates = np.arange(TILE_D)
+        reported = planted_reports(family, seeds, candidates, d_out, rng)
+        counts = support_counts_kernel(
+            family, seeds, reported, candidates, d_out
+        )
+        expected = naive_counts(family, seeds, reported, candidates, d_out)
+        assert counts.tolist() == expected.tolist()
+        assert counts.sum() > 0
+
+
 class TestPlan:
     def test_full_matrix_fits_one_chunk(self):
         plan = plan_support_counts(1_000, 10, 16)
@@ -152,6 +262,12 @@ class TestPlan:
         plan = plan_support_counts(1_000, 50, 1 << 20, chunk_bytes=1 << 16,
                                    n_unique=100)
         assert plan.orientation != "unique"
+
+    def test_stream_shaped_default_plan_stays_in_tile(self):
+        plan = plan_support_counts(31_350, 256, 35)
+        assert plan.orientation == "reports"
+        assert plan.peak_intermediate_bytes <= TILE_BYTES
+        assert plan.peak_intermediate_bytes == 9 * plan.chunk * 256
 
     def test_peak_bytes_scale_with_chunk(self):
         small = plan_support_counts(10_000, 128, 16, chunk_bytes=1 << 16)

@@ -123,3 +123,30 @@ class TestVectorizedArrayPath:
             np.array([value], dtype=np.uint64), np.uint64(seed)
         )
         assert int(vectorized[0]) == xxhash32_int(value, seed)
+
+    @given(
+        values=st.lists(
+            st.integers(min_value=0, max_value=(1 << 64) - 1),
+            min_size=1, max_size=6,
+        ),
+        seeds=st.lists(
+            st.integers(min_value=0, max_value=(1 << 33)),
+            min_size=1, max_size=4,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_property_in_place_lanes_match_reference(self, values, seeds):
+        """Filling caller-owned ``out``/``scratch`` buffers (the kernel's
+        tile) is the reference hash, with or without high lanes."""
+        values = np.array(values, dtype=np.uint64)
+        seeds = np.array(seeds, dtype=np.uint64)
+        shape = (len(seeds), len(values))
+        out = np.full(shape, 0xDEADBEEF, dtype=np.uint32)
+        scratch = np.full(shape, 0x12345678, dtype=np.uint32)
+        result = xxhash32_int_array(
+            values[None, :], seeds[:, None], out=out, scratch=scratch
+        )
+        assert result is out
+        assert out.tolist() == [
+            [xxhash32_int(int(v), int(s)) for v in values] for s in seeds
+        ]
